@@ -171,8 +171,16 @@ func (w *Waypoint) Position(t sim.Time) geom.Point {
 	if t < 0 {
 		t = 0
 	}
-	if w.memoOK && t == w.memoT {
-		return w.memoP
+	if w.memoOK {
+		if t == w.memoT {
+			return w.memoP
+		}
+		// Most new instants still fall inside the memoised leg; answer
+		// them before extending the trajectory or searching.
+		if l := &w.legs[w.memoLeg]; l.start <= t && t < l.end() {
+			w.memoT, w.memoP = t, l.positionAt(t)
+			return w.memoP
+		}
 	}
 	w.extendTo(t)
 	// Binary search for the covering leg, seeded from the memoised leg:

@@ -54,6 +54,13 @@ func (k IndexKind) String() string {
 type NeighborIndex interface {
 	Attach(t *Transceiver)
 	ForEachCandidate(now sim.Time, center geom.Point, radius float64, fn func(*Transceiver))
+	// TxCandidates is StartTx's receiver walk: the attach indexes, in
+	// ascending order, of a superset of the transceivers within radius
+	// of center, from's position at now (from itself may be included).
+	// The slice is owned by the index and valid until its next
+	// mutation. It may only be called in solo context: the grid index
+	// builds its per-transmitter lists here.
+	TxCandidates(now sim.Time, from *Transceiver, center geom.Point, radius float64) []int32
 	AddTx(tx *transmission)
 	RemoveTx(tx *transmission)
 	// HasTx reports whether any transmission is tracked at all — the
@@ -67,6 +74,7 @@ type NeighborIndex interface {
 // active transmissions.
 type bruteIndex struct {
 	nodes  []*Transceiver
+	ids    []int32 // every attach index, StartTx's candidate list
 	active []*transmission
 }
 
@@ -74,12 +82,19 @@ var _ NeighborIndex = (*bruteIndex)(nil)
 
 func newBruteIndex() *bruteIndex { return &bruteIndex{} }
 
-func (b *bruteIndex) Attach(t *Transceiver) { b.nodes = append(b.nodes, t) }
+func (b *bruteIndex) Attach(t *Transceiver) {
+	b.ids = append(b.ids, int32(len(b.nodes)))
+	b.nodes = append(b.nodes, t)
+}
 
 func (b *bruteIndex) ForEachCandidate(_ sim.Time, _ geom.Point, _ float64, fn func(*Transceiver)) {
 	for _, t := range b.nodes {
 		fn(t)
 	}
+}
+
+func (b *bruteIndex) TxCandidates(sim.Time, *Transceiver, geom.Point, float64) []int32 {
+	return b.ids
 }
 
 func (b *bruteIndex) AddTx(tx *transmission) { b.active = append(b.active, tx) }
@@ -110,9 +125,10 @@ func (b *bruteIndex) ForEachTxInRange(now sim.Time, center geom.Point, radius fl
 	}
 }
 
-// gridIndex backs the medium with two spatial hashes: one over node
+// gridIndex backs the medium with two spatial hashes — one over node
 // positions (refreshed lazily on a time-epoch basis) and one over
-// transmission origins (exact, since origins never move).
+// transmission origins (exact, since origins never move) — plus a
+// cached receiver-candidate list per transmitter.
 //
 // Node buckets go stale as nodes move. Each mobility model reports a
 // conservative max speed (mobility.Speeder), so a position bucketed at
@@ -125,6 +141,13 @@ func (b *bruteIndex) ForEachTxInRange(now sim.Time, center geom.Point, radius fl
 // slack/maxSpeed of simulated time — amortised across the many events
 // in between — and moves a node between cells only when it crossed a
 // cell boundary.
+//
+// The candidate lists are Verlet neighbour lists (DESIGN.md §2): a
+// transmitter's list holds every node within radius+2·skin of it at
+// build time, so until either endpoint can have drifted by skin it is
+// a superset of the nodes within radius, walked without hashing a
+// cell. The transmission-origin grid only pays off with many frames on
+// the air, so it is maintained only while the count is high.
 type gridIndex struct {
 	sched *sim.Scheduler
 
@@ -137,10 +160,23 @@ type gridIndex struct {
 	lastRefresh sim.Time
 	refreshed   bool // lastRefresh is meaningful (first refresh happened)
 
+	// lists holds one candidate list per attached node (by attach
+	// index); a node's list is built on its first transmission, so
+	// nodes that never transmit keep an empty entry. attachGen counts
+	// attaches: a list built under an older generation may miss a node
+	// attached since, so it is rebuilt.
+	lists     []candList
+	skin      float64
+	attachGen uint64
+
 	active []*transmission
-	txGrid *geom.Grid
-	txByID map[int]*transmission
-	nextTx int
+	// txGrid and txByID index the origins of the frames on the air, but
+	// only while txGridOn: switched on when more than txScanThreshold
+	// frames are on the air, off again below half that (see AddTx).
+	txGrid   *geom.Grid
+	txByID   map[int]*transmission
+	txGridOn bool
+	nextTx   int
 
 	scratch []int
 	// seen is a reusable bitset over node ids: candidate ids are marked,
@@ -149,15 +185,41 @@ type gridIndex struct {
 	seen []uint64
 }
 
-// txScanThreshold is the active-transmission count below which
-// ForEachTxInRange scans the plain slice instead of the grid. Carrier
-// sensing runs on every MAC backoff step, and with only a handful of
-// frames on the air a cache-friendly linear scan beats the grid's cell
-// hashing; the grid pays off once spatial reuse puts many concurrent
-// frames on a large field. Both paths apply the same exact predicate,
-// and CarrierBusyUntil combines results order-independently, so the
-// switch cannot change simulation results.
+// candList is one transmitter's cached receiver candidates: attach
+// indexes in ascending order of every other node within
+// radius+2·skin+listMargin of the transmitter at builtAt.
+type candList struct {
+	ids     []int32
+	builtAt sim.Time
+	radius  float64 // query radius the list was built for
+	gen     uint64  // gridIndex.attachGen at build time; 0 = never built
+}
+
+// txScanThreshold is the active-transmission count above which the
+// transmission-origin grid switches on (and below half of which it
+// switches off again); while it is off, ForEachTxInRange scans the
+// plain slice. Carrier sensing runs on every MAC backoff step, and with
+// only a handful of frames on the air a cache-friendly linear scan
+// beats the grid's cell hashing — and skipping the grid spares every
+// frame its map inserts and deletes. The grid pays off once spatial
+// reuse puts many concurrent frames on a large field. Both paths apply
+// the same exact predicate, and CarrierBusyUntil combines results
+// order-independently, so the switch cannot change simulation results.
 const txScanThreshold = 32
+
+// skinDivisor sizes the candidate-list skin as range/skinDivisor. A
+// list lives until the fastest node could have drifted one skin (2.3 s
+// at 75 m and 2 m/s) and carries the nodes in a ring 2·skin wide around
+// the query disc (≈27% more area than the disc at skin = range/16).
+// A thicker skin means fewer rebuilds but longer walks.
+const skinDivisor = 16
+
+// listMargin widens the list's keep radius by a micrometre so that the
+// rounding in interpolated positions (and the truncation of leg
+// durations to whole nanoseconds, which lets a node outrun its speed
+// bound by about a nanosecond's travel per leg) can never drop a node
+// the exact predicate would admit.
+const listMargin = 1e-6
 
 var _ NeighborIndex = (*gridIndex)(nil)
 
@@ -171,6 +233,7 @@ func newGridIndex(sched *sim.Scheduler, txRange float64) *gridIndex {
 		sched:   sched,
 		grid:    geom.NewGrid(txRange),
 		slack:   txRange / 4,
+		skin:    txRange / skinDivisor,
 		bounded: true,
 		txGrid:  geom.NewGrid(txRange),
 		txByID:  make(map[int]*transmission),
@@ -181,6 +244,8 @@ func (g *gridIndex) Attach(t *Transceiver) {
 	now := g.sched.Now()
 	id := len(g.nodes)
 	g.nodes = append(g.nodes, t)
+	g.lists = append(g.lists, candList{})
+	g.attachGen++
 	for len(g.seen)*64 < len(g.nodes) {
 		g.seen = append(g.seen, 0)
 	}
@@ -245,22 +310,82 @@ func (g *gridIndex) ForEachCandidate(now sim.Time, center geom.Point, radius flo
 	}
 }
 
+// TxCandidates returns from's cached candidate list, rebuilding it
+// first when it may no longer be a superset of the nodes within radius:
+// a node attached since the build, a query radius beyond the built one,
+// a clock behind the build time, or enough elapsed time for the
+// fastest node to have drifted more than one skin. Without a speed
+// bound on every node no drift limit holds, so the list is rebuilt from
+// the grid walk on every call.
+func (g *gridIndex) TxCandidates(now sim.Time, from *Transceiver, center geom.Point, radius float64) []int32 {
+	l := &g.lists[from.idx]
+	if !g.bounded || l.gen != g.attachGen || radius > l.radius || now < l.builtAt ||
+		g.maxSpd*(now-l.builtAt).Seconds() > g.skin {
+		g.buildList(l, now, from, center, radius)
+	}
+	return l.ids
+}
+
+// buildList refills l with every node other than from within
+// radius+2·skin of center at now, in attach order. Between builds each
+// endpoint drifts at most one skin, so the distance between them
+// changes by at most 2·skin: any node within radius of the transmitter
+// at a later valid query was within the keep radius here.
+func (g *gridIndex) buildList(l *candList, now sim.Time, from *Transceiver, center geom.Point, radius float64) {
+	keep := radius + 2*g.skin + listMargin
+	k2 := keep * keep
+	ids := l.ids[:0]
+	g.ForEachCandidate(now, center, keep, func(t *Transceiver) {
+		if t != from && t.pos.Position(now).Dist2(center) <= k2 {
+			ids = append(ids, t.idx)
+		}
+	})
+	l.ids, l.builtAt, l.radius, l.gen = ids, now, radius, g.attachGen
+}
+
+// AddTx records a frame going on the air. It runs in StartTx — solo
+// context under every scheduler — so it may switch the origin grid on:
+// when the count first exceeds txScanThreshold, the frames already on
+// the air are inserted and the grid then tracks every new one.
+// ForEachTxInRange runs inside parallel windows and only ever reads.
 func (g *gridIndex) AddTx(tx *transmission) {
+	tx.slot = len(g.active)
+	g.active = append(g.active, tx)
+	switch {
+	case g.txGridOn:
+		g.insertTxGrid(tx)
+	case len(g.active) > txScanThreshold:
+		g.txGridOn = true
+		for _, a := range g.active {
+			g.insertTxGrid(a)
+		}
+	}
+}
+
+func (g *gridIndex) insertTxGrid(tx *transmission) {
 	id := g.nextTx
 	g.nextTx++
 	tx.indexID = id
-	tx.slot = len(g.active)
-	g.active = append(g.active, tx)
 	g.txByID[id] = tx
 	g.txGrid.Insert(id, tx.origin)
 }
 
-func (g *gridIndex) RemoveTx(tx *transmission) {
-	if _, ok := g.txByID[tx.indexID]; !ok {
-		return
-	}
+func (g *gridIndex) removeTxGrid(tx *transmission) {
 	delete(g.txByID, tx.indexID)
 	g.txGrid.Remove(tx.indexID)
+}
+
+// RemoveTx retires a frame (solo context: the finish processing). The
+// origin grid switches off once fewer than txScanThreshold/2 frames
+// remain; the gap to the switch-on count keeps a load hovering around
+// the threshold from rebuilding the grid on every frame.
+func (g *gridIndex) RemoveTx(tx *transmission) {
+	if tx.slot >= len(g.active) || g.active[tx.slot] != tx {
+		return
+	}
+	if g.txGridOn {
+		g.removeTxGrid(tx)
+	}
 	// The recorded slot makes removal O(1) even with many concurrent
 	// transmissions on the air.
 	last := len(g.active) - 1
@@ -269,12 +394,18 @@ func (g *gridIndex) RemoveTx(tx *transmission) {
 	moved.slot = tx.slot
 	g.active[last] = nil
 	g.active = g.active[:last]
+	if g.txGridOn && len(g.active) < txScanThreshold/2 {
+		for _, a := range g.active {
+			g.removeTxGrid(a)
+		}
+		g.txGridOn = false
+	}
 }
 
 func (g *gridIndex) HasTx() bool { return len(g.active) > 0 }
 
 func (g *gridIndex) ForEachTxInRange(now sim.Time, center geom.Point, radius float64, fn func(*transmission)) {
-	if len(g.active) <= txScanThreshold {
+	if !g.txGridOn {
 		r2 := radius * radius
 		for _, tx := range g.active {
 			if tx.end <= now {

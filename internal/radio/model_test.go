@@ -38,15 +38,14 @@ func compareFuzzWorlds(t *testing.T, label string, a, b *fuzzWorld, aName, bName
 
 // runModelDifferential drives all four model × index combinations
 // through the same op script and requires identical observations.
-func runModelDifferential(t *testing.T, label string, seed int64, n int, area geom.Rect,
-	maxSpeed float64, ops []fuzzOp, horizon sim.Time) {
+func runModelDifferential(t *testing.T, label string, spec fuzzSpec, ops []fuzzOp, horizon sim.Time) {
 	t.Helper()
 	var ref *fuzzWorld
 	var refName string
 	for _, model := range []ReceptionModel{ModelBatch, ModelRef} {
 		for _, kind := range []IndexKind{IndexGrid, IndexBrute} {
 			name := model.String() + "/" + kind.String()
-			w := newFuzzWorld(kind, model, seed, n, area, maxSpeed)
+			w := newFuzzWorld(kind, model, spec)
 			w.schedule(ops)
 			w.sched.Run(horizon)
 			if ref == nil {
@@ -87,7 +86,8 @@ func TestReceptionModelsMatchUnderRandomTraffic(t *testing.T) {
 				ops = append(ops, fuzzOp{at: at, node: opRNG.Intn(nNodes), kind: 0})
 			}
 		}
-		runModelDifferential(t, fmt.Sprintf("seed %d", seed), seed, nNodes, area, 5, ops, 120*time.Second)
+		spec := fuzzSpec{seed: seed, nodes: nNodes, area: area, maxSpeed: 5, unbounded: seed != 3}
+		runModelDifferential(t, fmt.Sprintf("seed %d", seed), spec, ops, 120*time.Second)
 	}
 }
 
@@ -114,6 +114,7 @@ func FuzzReceptionModelDifferential(f *testing.F) {
 				kind: int(data[i+3]) % 4,
 			})
 		}
-		runModelDifferential(t, "fuzz", 7, nNodes, geom.Rect{W: 200, H: 200}, 3, ops, time.Hour)
+		spec := fuzzSpec{seed: 7, nodes: nNodes, area: geom.Rect{W: 200, H: 200}, maxSpeed: 3, unbounded: true}
+		runModelDifferential(t, "fuzz", spec, ops, time.Hour)
 	})
 }

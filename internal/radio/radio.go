@@ -125,6 +125,10 @@ type transmission struct {
 	// after finish processing retires the transmission. Nil for plain
 	// StartTx.
 	done TxDone
+	// finish is the batched model's finish event, bound to this record
+	// once when the pool first allocates it, so scheduling it allocates
+	// nothing.
+	finish func()
 }
 
 // recvEntry is one receiver-table row: the receiver by attach index
@@ -160,6 +164,8 @@ type Medium struct {
 	// record. It is the in-flight gauge the metrics sampler reads; like
 	// stats it is only touched from solo-context events.
 	activeTx int
+	// peakTx is activeTx's high-water mark; see PeakActiveTx.
+	peakTx int
 	// elided counts the per-receiver finish events the batched model
 	// folded into per-frame events; see ElidedEvents.
 	elided uint64
@@ -189,6 +195,10 @@ func (m *Medium) Stats() Stats { return m.stats }
 
 // ActiveTx returns the number of transmissions currently on the air.
 func (m *Medium) ActiveTx() int { return m.activeTx }
+
+// PeakActiveTx returns the largest number of transmissions that were
+// ever on the air at once.
+func (m *Medium) PeakActiveTx() int { return m.peakTx }
 
 // Range returns the configured transmission radius in metres.
 func (m *Medium) Range() float64 { return m.params.Range }
@@ -247,7 +257,9 @@ func (m *Medium) AttachOn(sched *sim.Scheduler, id pkt.NodeID, pos mobility.Mode
 func (m *Medium) acquireTx() *transmission {
 	n := len(m.txFree)
 	if n == 0 {
-		return &transmission{}
+		tx := &transmission{}
+		tx.finish = func() { m.finishTx(tx) }
+		return tx
 	}
 	tx := m.txFree[n-1]
 	m.txFree = m.txFree[:n-1]
@@ -478,6 +490,9 @@ func (t *Transceiver) StartTxNotify(frame any, airtime sim.Time, done TxDone) er
 	m.index.AddTx(tx)
 	m.stats.Transmissions++
 	m.activeTx++
+	if m.activeTx > m.peakTx {
+		m.peakTx = m.activeTx
+	}
 	t.sent++
 	t.txEnd = tx.end
 
@@ -497,8 +512,9 @@ func (t *Transceiver) StartTxNotify(frame any, airtime sim.Time, done TxDone) er
 
 // startTxBatch builds the per-frame receiver table and schedules the
 // single finish event that will walk it. The index yields a
-// position-superset in attach order; the exact unit-disc predicate runs
-// here against fresh positions.
+// position-superset in attach order — under the grid, the
+// transmitter's cached candidate list — and admitBatch applies the
+// exact unit-disc predicate against fresh positions.
 func (t *Transceiver) startTxBatch(tx *transmission, now sim.Time) {
 	m := t.medium
 	// Transmitting corrupts anything this node was in the middle of
@@ -507,38 +523,51 @@ func (t *Transceiver) startTxBatch(tx *transmission, now sim.Time) {
 	if t.rxInFlight > 0 {
 		t.lastInterference = now
 	}
+	for _, id := range m.index.TxCandidates(now, t, tx.origin, m.params.Range+m.carrierEps) {
+		if rcv := m.nodes[id]; rcv != t {
+			m.admitBatch(tx, rcv, now)
+		}
+	}
+	m.sched.At(tx.end, tx.finish)
+}
+
+// inRange applies the exact unit-disc predicate to one candidate
+// receiver of tx and raises its carrier-listener onset: proven or band
+// for a receiver in range, band only for one just outside it but inside
+// its listener's uncertainty band. It reports whether rcv is in range.
+func (m *Medium) inRange(tx *transmission, rcv *Transceiver, now sim.Time) bool {
 	r := m.params.Range
-	r2 := r * r
-	m.index.ForEachCandidate(now, tx.origin, r+m.carrierEps, func(rcv *Transceiver) {
-		if rcv == t {
-			return
-		}
-		d2 := rcv.pos.Position(now).Dist2(tx.origin)
-		if d2 > r2 {
-			// Out of range for reception, but possibly inside a carrier
-			// listener's uncertainty band: an unproven onset.
-			if rcv.carrier != nil {
-				if out := r + rcv.predEps; d2 <= out*out {
-					rcv.carrier.CarrierOnset(tx.end, false)
-				}
-			}
-			return
-		}
+	d2 := rcv.pos.Position(now).Dist2(tx.origin)
+	if d2 > r*r {
 		if rcv.carrier != nil {
-			notifyCarrier(rcv, d2, r, tx.end)
+			if out := r + rcv.predEps; d2 <= out*out {
+				rcv.carrier.CarrierOnset(tx.end, false)
+			}
 		}
-		// A node mid-transmission cannot hear the frame, and any
-		// receptions already in flight at the receiver collide with the
-		// new one — the former decides this entry now, the latter is
-		// recorded as interference for the in-flight entries' walks.
-		corrupted := rcv.txEnd > now || rcv.rxInFlight > 0
-		if rcv.rxInFlight > 0 {
-			rcv.lastInterference = now
-		}
-		rcv.rxInFlight++
-		tx.recvs = append(tx.recvs, recvEntry{rcv: rcv.idx, corrupted: corrupted})
-	})
-	m.sched.At(tx.end, func() { m.finishTx(tx) })
+		return false
+	}
+	if rcv.carrier != nil {
+		notifyCarrier(rcv, d2, r, tx.end)
+	}
+	return true
+}
+
+// admitBatch adds one candidate to tx's receiver table if it is in
+// range.
+func (m *Medium) admitBatch(tx *transmission, rcv *Transceiver, now sim.Time) {
+	if !m.inRange(tx, rcv, now) {
+		return
+	}
+	// A node mid-transmission cannot hear the frame, and any receptions
+	// already in flight at the receiver collide with the new one — the
+	// former decides this entry now, the latter is recorded as
+	// interference for the in-flight entries' walks.
+	corrupted := rcv.txEnd > now || rcv.rxInFlight > 0
+	if rcv.rxInFlight > 0 {
+		rcv.lastInterference = now
+	}
+	rcv.rxInFlight++
+	tx.recvs = append(tx.recvs, recvEntry{rcv: rcv.idx, corrupted: corrupted})
 }
 
 // finishTx is the batched model's single finish event: it walks the
@@ -594,40 +623,13 @@ func (t *Transceiver) startTxRef(tx *transmission, now sim.Time) {
 		}
 	}
 
-	// The index yields a position-superset in attach order; the exact
-	// unit-disc predicate runs here against fresh positions.
-	r := m.params.Range
-	r2 := r * r
-	m.index.ForEachCandidate(now, tx.origin, r+m.carrierEps, func(rcv *Transceiver) {
-		if rcv == t {
-			return
+	// The index yields a position-superset in attach order; admitRef
+	// applies the exact unit-disc predicate against fresh positions.
+	for _, id := range m.index.TxCandidates(now, t, tx.origin, m.params.Range+m.carrierEps) {
+		if rcv := m.nodes[id]; rcv != t {
+			m.admitRef(tx, rcv, now)
 		}
-		d2 := rcv.pos.Position(now).Dist2(tx.origin)
-		if d2 > r2 {
-			if rcv.carrier != nil {
-				if out := r + rcv.predEps; d2 <= out*out {
-					rcv.carrier.CarrierOnset(tx.end, false)
-				}
-			}
-			return
-		}
-		if rcv.carrier != nil {
-			notifyCarrier(rcv, d2, r, tx.end)
-		}
-		rec := &reception{tx: tx}
-		// A node mid-transmission cannot hear the frame, and any
-		// receptions already in progress at the receiver collide with
-		// the new one.
-		if rcv.txEnd > now {
-			rec.corrupted = true
-		}
-		for _, other := range rcv.receptions {
-			other.corrupted = true
-			rec.corrupted = true
-		}
-		rcv.receptions = append(rcv.receptions, rec)
-		m.sched.At(tx.end, func() { rcv.finishReception(rec) })
-	})
+	}
 
 	m.sched.At(tx.end, func() {
 		done := tx.done
@@ -638,6 +640,26 @@ func (t *Transceiver) startTxRef(tx *transmission, now sim.Time) {
 			done.TxDone()
 		}
 	})
+}
+
+// admitRef gives one in-range candidate of tx a reception record and
+// its own finish event.
+func (m *Medium) admitRef(tx *transmission, rcv *Transceiver, now sim.Time) {
+	if !m.inRange(tx, rcv, now) {
+		return
+	}
+	rec := &reception{tx: tx}
+	// A node mid-transmission cannot hear the frame, and any receptions
+	// already in progress at the receiver collide with the new one.
+	if rcv.txEnd > now {
+		rec.corrupted = true
+	}
+	for _, other := range rcv.receptions {
+		other.corrupted = true
+		rec.corrupted = true
+	}
+	rcv.receptions = append(rcv.receptions, rec)
+	m.sched.At(tx.end, func() { rcv.finishReception(rec) })
 }
 
 func (t *Transceiver) finishReception(rec *reception) {
@@ -702,15 +724,15 @@ func (m *Medium) MeanDegree() float64 {
 	}
 	now := m.sched.Now()
 	r2 := m.params.Range * m.params.Range
-	pts := make(map[*Transceiver]geom.Point, len(m.nodes))
-	for _, t := range m.nodes {
-		pts[t] = t.pos.Position(now)
+	pts := make([]geom.Point, len(m.nodes))
+	for i, t := range m.nodes {
+		pts[i] = t.pos.Position(now)
 	}
 	var links int
 	for _, self := range m.nodes {
-		p := pts[self]
+		p := pts[self.idx]
 		m.index.ForEachCandidate(now, p, m.params.Range, func(t *Transceiver) {
-			if t != self && pts[t].Dist2(p) <= r2 {
+			if t != self && pts[t.idx].Dist2(p) <= r2 {
 				links++
 			}
 		})

@@ -270,3 +270,45 @@ func TestValidateQueueAxis(t *testing.T) {
 		}
 	}
 }
+
+// runPeak is Run without the heap sample, also returning the largest
+// number of frames that were ever on the air at once.
+func runPeak(t *testing.T, cfg Config) (*Result, int) {
+	t.Helper()
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	w, err := build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.coord != nil {
+		w.coord.Run(cfg.Duration)
+	} else {
+		w.sched.Run(cfg.Duration)
+	}
+	return w.collect(), w.medium.PeakActiveTx()
+}
+
+// TestShardedTxGridBitIdentical guards the radio index's solo-context
+// rule: the transmission-origin grid switches on and off only in StartTx
+// and finish processing, never in the carrier reads that run inside
+// parallel windows. The 3000-node point puts more than the grid's
+// 32-frame switch-on count on the air, so the sharded run reads the
+// grid from two workers while solo events rebuild and drop it; under
+// the race detector any mutation from a window fails loudly, and the
+// result must match the serial run bit for bit.
+func TestShardedTxGridBitIdentical(t *testing.T) {
+	cfg := ShortenedData(LargeScaleConfig(3000), 2*time.Second)
+	cfg.Seed = 29
+
+	serial, peak := runPeak(t, cfg)
+	if peak <= 32 {
+		t.Fatalf("peak of %d frames on the air never reaches the transmission grid", peak)
+	}
+	sharded, _ := runPeak(t, shardedConfig(cfg, 2, 0))
+	if !reflect.DeepEqual(serial, sharded) {
+		t.Fatalf("serial and sharded runs diverged with the transmission grid on:\nserial:  %+v\nsharded: %+v",
+			serial, sharded)
+	}
+}
